@@ -11,7 +11,8 @@ children rebuilt from ``IterationStats`` and ``ExtractReport``.
 
 Every limit is a work quota: registry iteration/e-node limits, the ILP's
 B&B step quota, the verifier's BDD-node and trial counts.  A job whose
-record shows a stop on a wall clock counts as failed.
+record shows a stop on a wall clock counts as failed
+(:func:`outcheck.record_failures`, shared with the service).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 import gen
 import measure
 import outcheck
-from repro.egraph.runner import StopReason
 from repro.pipeline import (
     Job,
     Pipeline,
@@ -35,6 +35,7 @@ from repro.pipeline import (
 )
 from repro.solve.extract_opt import OptimalExtract
 from repro.synth import dag_cost, min_delay_point
+from spans import STAGE_SPAN, stage_seconds
 
 WORKLOADS = ("table3_verify", "ilp_extract")
 
@@ -43,16 +44,6 @@ ILP_ITERS = 4
 
 #: The ILP stage's own per-cone B&B step quota (its default).
 ILP_MAX_STEPS = OptimalExtract().max_steps
-
-#: Span name of each pipeline stage (module-named layers).
-STAGE_SPAN = {
-    "ingest": "rtl.ingest",
-    "warm-start": "egraph.load",
-    "saturate": "egraph.saturate",
-    "save-egraph": "egraph.save",
-    "extract": "extract",
-    "verify": "verify.verify",
-}
 
 PROVED = ("exhaustive", "bdd")
 
@@ -89,6 +80,10 @@ class Outcome:
     (the e-graph itself is dropped as soon as the job ends)."""
 
     name: str
+    #: Registry design family (seeded variants belong to their design's).
+    family: str
+    #: ``time.perf_counter`` at the job's start, and its wall seconds.
+    start: float
     wall: float
     output: str = ""
     roots: dict = field(default_factory=dict)
@@ -100,9 +95,9 @@ class Outcome:
     failures: list = field(default_factory=list)
 
 
-def _ilp_cones(ctx) -> list[tuple[str, str, int, bool]]:
-    """``(cone, status, steps, adopted)`` for every cone the ILP solved."""
-    block = ctx.artifacts.get("extract_ilp")
+def _ilp_cones(block: dict | None) -> list[tuple[str, str, int, bool]]:
+    """``(cone, status, steps, adopted)`` for every cone the ILP solved,
+    from the stage's ``extract_ilp`` artifact."""
     if not block:
         return []
     cones = []
@@ -114,8 +109,35 @@ def _ilp_cones(ctx) -> list[tuple[str, str, int, bool]]:
     return cones
 
 
-def _outcome(job: Job, design, ctx, record, wall: float, error: str | None) -> Outcome:
-    out = Outcome(job.name, wall)
+def ilp_clock_cuts(block: dict | None, max_steps: int = ILP_MAX_STEPS) -> list[str]:
+    """ILP searches a clock ended instead of the step quota.
+
+    An adopted ``incumbent`` cone below its quota was cut by the clock.  An
+    unadopted one is not flagged: the stage also turns a proved ``optimal``
+    into ``incumbent`` when the rebuilt tree does not win, and the two read
+    alike (with the window lifted, only the latter can happen).  An
+    ``incumbent`` root that no cone covers was skipped on a deadline.
+    """
+    if not block:
+        return []
+    cuts = [
+        f"ILP search on {label} cut by the clock"
+        for label, status, steps, adopted in _ilp_cones(block)
+        if status == "incumbent" and steps < max_steps and adopted
+    ]
+    solved = {name for label in block["detail"] for name in label.split("+")}
+    cuts += [
+        f"ILP skipped {name} on a deadline"
+        for name, status in sorted(block["roots"].items())
+        if status == "incumbent" and name not in solved
+    ]
+    return cuts
+
+
+def _outcome(
+    job: Job, design, ctx, record, start: float, wall: float, error: str | None,
+) -> Outcome:
+    out = Outcome(job.name, job.design, start, wall)
     if error is not None:
         out.failures.append(error)
         return out
@@ -129,7 +151,7 @@ def _outcome(job: Job, design, ctx, record, wall: float, error: str | None) -> O
         name: [v.method, v.trials, v.bdd_nodes, v.equivalent]
         for name, v in sorted(ctx.equivalence.items())
     }
-    cones = _ilp_cones(ctx)
+    block = ctx.artifacts.get("extract_ilp")
     out.facts = {
         "stop": record.stop_reason,
         "nodes": record.nodes,
@@ -139,21 +161,14 @@ def _outcome(job: Job, design, ctx, record, wall: float, error: str | None) -> O
         "extract": [(r.status, r.steps) for r in ctx.extract_reports],
         "verify": verdicts,
         "verify_method": record.verify_method,
-        "ilp": cones,
+        "ilp": _ilp_cones(block),
         "dag": [record.dag_delay, record.dag_area],
     }
     # No result may be decided by a wall clock.
-    if record.status != "ok":
-        out.failures.append(f"status {record.status}: {record.error}")
-    if any(r.stop_reason is StopReason.TIME_LIMIT for r in ctx.reports):
-        out.failures.append("saturation stopped on its time limit")
-    if any(r.status == "deadline" for r in ctx.extract_reports):
-        out.failures.append("extraction stopped on a deadline")
-    if any(v.method == "timeout" for v in ctx.equivalence.values()):
-        out.failures.append("verification timed out")
-    for label, status, steps, _ in cones:
-        if status == "incumbent" and steps < ILP_MAX_STEPS:
-            out.failures.append(f"ILP search on {label} cut by the clock")
+    out.failures += outcheck.record_failures(
+        record, [v.method for v in ctx.equivalence.values()]
+    )
+    out.failures += ilp_clock_cuts(block)
     return out
 
 
@@ -169,7 +184,9 @@ def run_job(job: Job) -> Outcome:
         record = record_from_context(job.name, job.design, design.output, ctx)
     except Exception as err:  # a failed job is counted, not fatal
         error = f"{type(err).__name__}: {err}"
-    return _outcome(job, design, ctx, record, time.perf_counter() - started, error)
+    return _outcome(
+        job, design, ctx, record, started, time.perf_counter() - started, error
+    )
 
 
 def _report_children(tracer, span, reports, extracts) -> None:
@@ -213,7 +230,7 @@ def run_job_traced(job: Job, tracer) -> Outcome:
             record = record_from_context(job.name, job.design, design.output, ctx)
         except Exception as err:  # a failed job is counted, not fatal
             error = f"{type(err).__name__}: {err}"
-    return _outcome(job, design, ctx, record, root.duration, error)
+    return _outcome(job, design, ctx, record, root.start, root.duration, error)
 
 
 # ------------------------------------------------------------------ checks
@@ -230,26 +247,27 @@ def quality(workload: str, outcomes: list[Outcome]) -> tuple[dict, float]:
     """Result-quality metrics over one pass, plus seconds spent lowering
     netlists (the measuring instrument, outside the timed region)."""
     ok = [out for out in outcomes if not out.failures]
+    # (family, ratio) pairs: each design family weighs the same.
     dag_delay, dag_area, net_delay, net_area = [], [], [], []
     netlist_s = 0.0
     for out in ok:
         root, optimized = out.roots[out.output], out.extracted[out.output]
         before = dag_cost(root, out.ranges)
-        dag_delay.append(out.record.dag_delay / before.delay)
-        dag_area.append(out.record.dag_area / before.area)
+        dag_delay.append((out.family, out.record.dag_delay / before.delay))
+        dag_area.append((out.family, out.record.dag_area / before.area))
         started = time.perf_counter()
         b = min_delay_point(root, out.ranges)
         o = min_delay_point(optimized, out.ranges)
         netlist_s += time.perf_counter() - started
         out.facts["netlist"] = [b.delay, b.area, o.delay, o.area]
-        net_delay.append(o.delay / b.delay)
-        net_area.append(o.area / b.area)
+        net_delay.append((out.family, o.delay / b.delay))
+        net_area.append((out.family, o.area / b.area))
     metrics = {
         "ok_share": len(ok) / len(outcomes),
-        "dag_delay_ratio": measure.geomean(dag_delay),
-        "dag_area_ratio": measure.geomean(dag_area),
-        "netlist_delay_ratio": measure.geomean(net_delay),
-        "netlist_area_ratio": measure.geomean(net_area),
+        "dag_delay_ratio": measure.family_geomean(dag_delay),
+        "dag_area_ratio": measure.family_geomean(dag_area),
+        "netlist_delay_ratio": measure.family_geomean(net_delay),
+        "netlist_area_ratio": measure.family_geomean(net_area),
     }
     if workload == "table3_verify":
         verified = [out for out in ok if out.record.verify_method]
@@ -284,21 +302,14 @@ def work_counts(outcomes: list[Outcome]) -> dict:
 def layer_times(tracer, jobs: int) -> dict:
     """Per-job seconds per layer from the traced pass's spans."""
     total = tracer.totals()
-    self_times = tracer.self_times()
 
     def per_job(name: str, table=total) -> float:
         return table.get(name, 0.0) / jobs
 
     return {
-        "rtl.ingest_s": per_job("rtl.ingest"),
-        "egraph.saturate_s": per_job("egraph.saturate"),
+        **stage_seconds(tracer, jobs),
         "egraph.search_s": per_job("egraph.search"),
         "egraph.apply_s": per_job("egraph.apply"),
         "egraph.rebuild_s": per_job("egraph.rebuild"),
-        "egraph.extract_s": per_job("egraph.greedy"),
-        "egraph.load_s": per_job("egraph.load"),
-        "egraph.save_s": per_job("egraph.save"),
-        "solve.ilp_s": per_job("solve.ilp"),
-        "verify.verify_s": per_job("verify.verify"),
-        "pipeline.overhead_s": per_job("job", self_times),
+        "pipeline.overhead_s": per_job("job", tracer.self_times()),
     }

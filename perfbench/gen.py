@@ -22,16 +22,26 @@ from repro.designs.stress import stress_wide_verilog
 #: Registry designs, in a fixed order (every batch pass runs all of them).
 REGISTRY = tuple(sorted(DESIGNS))
 
-#: Design variants per batch pass.  With the six registry designs a pass has
-#: 24 jobs, so ``job_s.tail`` (ten samples beyond it) is the p58.3.
-VARIANTS_PER_PASS = 18
+#: Seeded stress lanes per batch pass, by workload.  With the six registry
+#: designs a ``table3_verify`` pass has 36 jobs, so ``job_s.tail`` (ten
+#: samples beyond it) is the p72.2, and an ``ilp_extract`` pass 24, so it is
+#: the p58.3; either way it and ``job_s.p50`` fall among the lanes and
+#: ``unorm_to_float``, the lightest jobs.  One lane's time varies by about
+#: a fifth, so ``table3_verify``, whose lanes take 0.2 s, runs 30: with 18
+#: its median lane time spread up to 12% between runs.  An ILP lane takes
+#: 0.5 s, and 18 already keep that spread near 5%.
+LANES = {"table3_verify": 30, "ilp_extract": 18}
 
-#: Service stream: edited resubmissions per registry family, and exact
-#: repeats of each cold or edited submission.  Two repeats make hits two
-#: thirds of the stream, so ``job_s.p50`` is a hit; three edits give the
-#: three heavy families twelve misses, so ``job_s.tail`` (ten samples
-#: beyond it) is one of them.
-EDITS_PER_FAMILY = 3
+#: Service stream: edited resubmissions per registry family (or one per
+#: wire role, when a family has fewer), and exact repeats of each cold or
+#: edited submission.  Two repeats make hits two thirds of the stream, so
+#: ``job_s.p50`` is a hit.  Five edits give the three heavy families
+#: (``fp_sub``, ``interpolation``, ``stress_wide``) 17 misses: two cold
+#: runs of about 4 s on top, then a cluster of 15 runs of about 1 s, so
+#: ``job_s.tail`` (ten samples beyond it) falls in the middle of that
+#: cluster rather than on its lower edge, where the seed's choice of wires
+#: would decide it.
+EDITS_PER_FAMILY = 5
 REPEATS = 2
 
 TENANTS = ("tenant-a", "tenant-b")
@@ -89,7 +99,7 @@ def stress_lane(rng: random.Random) -> str:
     return text.replace(old, f"(acc0 > 12'd{limit}) ? 12'd{limit}")
 
 
-def batch_designs(seed: int) -> list[Design]:
+def batch_designs(workload: str, seed: int) -> list[Design]:
     """One batch pass: every registry design, each followed by its share of
     the seeded ``stress_wide`` lanes.
 
@@ -104,7 +114,7 @@ def batch_designs(seed: int) -> list[Design]:
     rng = random.Random(seed)
     lanes = [
         Design(f"stress_wide~v{index}", "stress_wide", stress_lane(rng))
-        for index in range(VARIANTS_PER_PASS)
+        for index in range(LANES[workload])
     ]
     per_design = -(-len(lanes) // len(REGISTRY))
     designs = []

@@ -1,4 +1,5 @@
-"""Output check independent of the engine.
+"""Output checks: the engine-independent evaluation, and the rule that no
+result may be decided by a wall clock.
 
 Evaluates the behavioural and the optimized root of every output on seeded
 input vectors drawn inside the design's input ranges, with the IR's concrete
@@ -11,10 +12,33 @@ from __future__ import annotations
 
 import random
 
+from repro.egraph.runner import StopReason
 from repro.ir.evaluate import BOT, evaluate, input_variables
 
 #: Vectors evaluated per output.
 VECTORS = 64
+
+
+def record_failures(record, verify_methods=None) -> list[str]:
+    """Why a job's ``RunRecord`` fails: a status other than ``ok``, or a
+    stop on a wall clock (saturation ``time limit``, extraction
+    ``deadline``, verification ``timeout``).
+
+    ``verify_methods`` is every output's verdict method when the caller has
+    them; by default only the record's primary output is checked.
+    """
+    problems = []
+    if record.status != "ok":
+        problems.append(f"status {record.status}: {record.error}")
+    if StopReason.TIME_LIMIT.value in record.stop_reason.split(","):
+        problems.append("saturation stopped on its time limit")
+    if "deadline" in record.extract_status.split(","):
+        problems.append("extraction stopped on a deadline")
+    if verify_methods is None:
+        verify_methods = [record.verify_method]
+    if "timeout" in verify_methods:
+        problems.append("verification timed out")
+    return problems
 
 
 def _domain(width: int, iset) -> list[tuple[int, int]]:

@@ -25,6 +25,15 @@ output is one JSON object: ``correct``, ``attempted``, ``failed``,
 The process re-executes itself with ``PYTHONHASHSEED=0``: the e-graph's
 node-limit stops depend on hash order, and a fixed hash seed is what makes
 every count and ratio repeat exactly for a given ``--seed``.
+
+Time metrics (``setup_s``, ``jobs_per_s``, ``job_s.*``, ``cpu_s_per_job``)
+are given at a fixed reference host speed.  On a shared host the speed of
+a core swings by a third over seconds, CPU time with it, and no run length
+the time limit allows averages that out.  So :class:`measure.HostSpeed`
+runs a fixed pure-Python probe loop every 50 ms through the run and each
+job's compute seconds are rescaled by the probe's speed around that job
+(see there).  The notes above the result line give every time metric as
+measured too, with the host speed factor.
 """
 
 from __future__ import annotations
@@ -48,8 +57,9 @@ WORKDIR = ROOT / ".perfbench_run"
 WORKLOADS = ("table3_verify", "ilp_extract", "service_resubmit")
 
 #: Fresh-interpreter start-ups (or daemon spawns) per run; ``setup_s`` is
-#: their median.
-SETUP_RUNS = 5
+#: their median.  Half run before the timed phase and half after it, so the
+#: median samples the host at both ends of the run, not in one burst.
+SETUP_RUNS = 8
 
 END_TO_END = {
     "setup_s": "s",
@@ -136,13 +146,30 @@ def _setup_env() -> None:
 
 
 def _probe_setup(workload: str, seed: int) -> float:
-    """Wall seconds of one fresh interpreter getting its first job ready."""
+    """Seconds, at the reference host speed, of one fresh interpreter
+    getting its first job ready (rescaled by the probes it ran itself)."""
+    import measure
+
     started = time.perf_counter()
-    subprocess.run(
+    done = subprocess.run(
         [sys.executable, str(HERE / "setup_probe.py"), workload, str(seed)],
-        check=True, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+        check=True, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, text=True,
     )
-    return time.perf_counter() - started
+    ended = time.perf_counter()
+    speed = measure.HostSpeed()
+    speed.probes = [tuple(probe) for probe in json.loads(done.stdout)]
+    return speed.rescale(started, ended)
+
+
+def _as_measured(raw: dict, rescaled: dict, factor: float) -> list[str]:
+    """Notes giving the timing metrics as the wall clock read them."""
+    lines = [f"host speed factor {factor:.4f} over the timed phase "
+             "(time metrics are at the reference host speed):"]
+    lines += [
+        f"  {name:<16} {rescaled[name]:10.4f} rescaled {value:10.4f} as measured"
+        for name, value in raw.items()
+    ]
+    return lines
 
 
 # ------------------------------------------------------------------- batch
@@ -152,36 +179,42 @@ def _run_batch(args) -> dict:
     import measure
     from spans import Tracer
 
-    setups = [_probe_setup(args.workload, args.seed) for _ in range(SETUP_RUNS)]
-    jobs = [batch.make_job(args.workload, d) for d in gen.batch_designs(args.seed)]
-    calib = [measure.calibrate()]
+    jobs = [batch.make_job(args.workload, d) for d in gen.batch_designs(args.workload, args.seed)]
     first: list = []
-    walls: list[float] = []
+    timed: list = []  # every timed job of every pass
     failed = attempted = 0
-    cpu0, started = measure.cpu_seconds(), time.perf_counter()
-    while True:
-        outcomes = [batch.run_job(job) for job in jobs]
-        walls += [out.wall for out in outcomes]
-        attempted += len(outcomes)
-        if not first:
-            first = outcomes
-        else:  # later passes: status and quota checks only
-            failed += sum(1 for out in outcomes if out.failures)
-        if args.trace or time.perf_counter() - started >= args.seconds:
-            break
-    wall = time.perf_counter() - started
-    cpu = measure.cpu_seconds() - cpu0
-    rss = measure.peak_rss_mb()
-    calib.append(measure.calibrate())
-
     notes: list[str] = []
     layers: dict = {}
+    with measure.HostSpeed() as speed:
+        setups = [_probe_setup(args.workload, args.seed)
+                  for _ in range(SETUP_RUNS // 2)]
+        cpu0, started = measure.cpu_seconds(), time.perf_counter()
+        while True:
+            outcomes = [batch.run_job(job) for job in jobs]
+            timed += outcomes
+            attempted += len(outcomes)
+            if not first:
+                first = outcomes
+            else:  # later passes: status and quota checks only
+                failed += sum(1 for out in outcomes if out.failures)
+            if args.trace or time.perf_counter() - started >= args.seconds:
+                break
+        ended = time.perf_counter()
+        cpu = measure.cpu_seconds() - cpu0
+        rss = measure.peak_rss_mb()
+        setups += [_probe_setup(args.workload, args.seed)
+                   for _ in range(SETUP_RUNS // 2)]
+        if args.trace:
+            tracer = Tracer()
+            traced = [batch.run_job_traced(job, tracer) for job in jobs]
+
+    def rescaled(outcomes) -> list[float]:
+        return [speed.rescale(out.start, out.start + out.wall) for out in outcomes]
+
     if args.trace:
-        tracer = Tracer()
-        traced = [batch.run_job_traced(job, tracer) for job in jobs]
         traced_wall = sum(out.wall for out in traced)
         layers = batch.layer_times(tracer, len(traced))
-        layers["trace.wall_ratio"] = traced_wall / sum(out.wall for out in first)
+        layers["trace.wall_ratio"] = sum(rescaled(traced)) / sum(rescaled(first))
         for untraced, out in zip(first, traced, strict=True):
             if untraced.facts != out.facts:
                 untraced.failures.append("traced run did different work")
@@ -195,23 +228,34 @@ def _run_batch(args) -> dict:
             notes.append(f"FAILED {out.name}: {reason}")
     quality, netlist_s = batch.quality(args.workload, first)
 
+    walls = rescaled(timed)
+    factor = speed.factor(started, ended)
+    # The probes ran on this process's CPU: take them out before rescaling.
+    cpu_job = (cpu - speed.probe_seconds(started, ended)) * factor / len(walls)
     value, pct, n = measure.tail(walls)
     notes.append(f"job_s.tail is p{pct:.1f} of {n} job samples")
     end_to_end = {
         "setup_s": statistics.median(setups),
-        "jobs_per_s": len(walls) / wall,
+        "jobs_per_s": len(walls) / sum(walls),
         "job_s.p50": statistics.median(walls),
         "job_s.tail": value,
-        "cpu_s_per_job": cpu / len(walls),
+        "cpu_s_per_job": cpu_job,
         "peak_rss_mb": rss,
         **quality,
     }
+    raw = [out.wall for out in timed]
+    notes += _as_measured({
+        "jobs_per_s": len(raw) / (ended - started),
+        "job_s.p50": statistics.median(raw),
+        "job_s.tail": measure.tail(raw)[0],
+        "cpu_s_per_job": cpu / len(raw),
+    }, end_to_end, factor)
     per_layer = {
         **layers,
         **batch.work_counts(first),
         "synth.netlist_s": netlist_s / len(first),
-        "host.calib_s": statistics.mean(calib),
-        "host.cpu_share": cpu / wall,
+        "host.calib_s": speed.median_probe_s(),
+        "host.cpu_share": cpu / (ended - started),
     }
     return {
         "attempted": attempted,
@@ -233,49 +277,64 @@ def _run_service(args) -> dict:
     from spans import Tracer
 
     stream = gen.service_stream(args.seed)
-    setups = []
-    for index in range(SETUP_RUNS - 1):
-        with serve_load.Daemon(WORKDIR / f"probe-{index}") as daemon:
-            setups.append(daemon.setup_s)
 
-    calib = [measure.calibrate()]
+    def probe_daemons(count: int) -> list[float]:
+        setups = []
+        for index in range(count):
+            with serve_load.Daemon(WORKDIR / f"probe-{index}") as daemon:
+                setups.append(daemon_setup(daemon))
+        return setups
+
+    def daemon_setup(daemon) -> float:
+        return speed.rescale(daemon.started, daemon.ready, probed=False)
+
     samples: list = []
     first: list = []
     failures: dict = {}
     failed = 0
     wall = daemon_cpu = client_cpu = 0.0
-    while True:
-        cpu_children = measure.cpu_seconds(resource.RUSAGE_CHILDREN)
-        with serve_load.Daemon(WORKDIR / "daemon") as daemon:
-            setups.append(daemon.setup_s)
-            cpu0, started = measure.cpu_seconds(), time.perf_counter()
-            got = serve_load.run_stream(daemon, stream)
-            wall += time.perf_counter() - started
-            client_cpu += measure.cpu_seconds() - cpu0
-        daemon_cpu += measure.cpu_seconds(resource.RUSAGE_CHILDREN) - cpu_children
-        samples += got
-        round_failures = serve_load.check(got)
-        failed += len(round_failures)
-        if not first:
-            first, failures = got, round_failures
-        if args.trace or wall >= args.seconds:
-            break
-    rss = measure.peak_rss_mb(resource.RUSAGE_CHILDREN)
-    calib.append(measure.calibrate())
-
     notes: list[str] = []
     per_layer: dict = {}
+    with measure.HostSpeed() as speed:
+        # The first stream's daemon is one of the SETUP_RUNS spawns.
+        setups = probe_daemons(SETUP_RUNS // 2 - 1)
+        phase = [time.perf_counter()]
+        while True:
+            cpu_children = measure.cpu_seconds(resource.RUSAGE_CHILDREN)
+            with serve_load.Daemon(WORKDIR / "daemon") as daemon:
+                setups.append(daemon_setup(daemon))
+                cpu0, started = measure.cpu_seconds(), time.perf_counter()
+                got = serve_load.run_stream(daemon, stream)
+                wall += time.perf_counter() - started
+                client_cpu += measure.cpu_seconds() - cpu0
+            daemon_cpu += measure.cpu_seconds(resource.RUSAGE_CHILDREN) - cpu_children
+            samples += got
+            round_failures = serve_load.check(got)
+            failed += len(round_failures)
+            if not first:
+                first, failures = got, round_failures
+            if args.trace or wall >= args.seconds:
+                break
+        phase.append(time.perf_counter())
+        rss = measure.peak_rss_mb(resource.RUSAGE_CHILDREN)
+        setups += probe_daemons(SETUP_RUNS // 2)
+        if args.trace:
+            tracer = Tracer()
+            with serve_load.Daemon(WORKDIR / "daemon") as daemon:
+                traced = serve_load.run_stream(daemon, stream, tracer)
+
+    def rescaled(got) -> list[float]:
+        return [
+            speed.rescale(s.start, s.start + s.wall, s.compute_s, probed=False)
+            for s in got
+        ]
+
     if args.trace:
-        tracer = Tracer()
-        with serve_load.Daemon(WORKDIR / "daemon") as daemon:
-            started = time.perf_counter()
-            traced = serve_load.run_stream(daemon, stream, tracer)
-            traced_wall = time.perf_counter() - started
         if serve_load.fingerprint(traced) != serve_load.fingerprint(first):
             failures.setdefault(-1, []).append("traced stream did different work")
             failed += 1
         per_layer = serve_load.layer_times(tracer, traced)
-        per_layer["trace.wall_ratio"] = traced_wall / wall
+        per_layer["trace.wall_ratio"] = sum(rescaled(traced)) / sum(rescaled(first))
         _write_trace(args, tracer, serve_load.fingerprint(first))
         notes += _self_time_table(tracer, sum(s.wall for s in traced))
     for index, reasons in sorted(failures.items()):
@@ -287,24 +346,32 @@ def _run_service(args) -> dict:
             continue
         roots, ranges = resolve_design(s.job)
         before = dag_cost(roots[s.record.output], ranges)
-        dag_delay.append(s.record.dag_delay / before.delay)
-        dag_area.append(s.record.dag_area / before.area)
+        dag_delay.append((s.sub.design.label, s.record.dag_delay / before.delay))
+        dag_area.append((s.sub.design.label, s.record.dag_area / before.area))
 
-    walls = [s.wall for s in samples]
+    walls = rescaled(samples)
+    factor = speed.factor(*phase)
     value, pct, n = measure.tail(walls)
     notes.append(f"job_s.tail is p{pct:.1f} of {n} submissions")
     misses = [s for s in first if not s.record.cache_hit]
     end_to_end = {
         "setup_s": statistics.median(setups),
-        "jobs_per_s": len(walls) / wall,
+        "jobs_per_s": len(walls) / sum(walls),
         "job_s.p50": statistics.median(walls),
         "job_s.tail": value,
-        "cpu_s_per_job": daemon_cpu / len(walls),
+        "cpu_s_per_job": daemon_cpu * factor / len(walls),
         "ok_share": sum(1 for s in first if s.sub.index not in failures) / len(first),
         "peak_rss_mb": rss,
-        "dag_delay_ratio": measure.geomean(dag_delay),
-        "dag_area_ratio": measure.geomean(dag_area),
+        "dag_delay_ratio": measure.family_geomean(dag_delay),
+        "dag_area_ratio": measure.family_geomean(dag_area),
     }
+    raw = [s.wall for s in samples]
+    notes += _as_measured({
+        "jobs_per_s": len(raw) / wall,
+        "job_s.p50": statistics.median(raw),
+        "job_s.tail": measure.tail(raw)[0],
+        "cpu_s_per_job": daemon_cpu / len(raw),
+    }, end_to_end, factor)
     per_layer.update({
         "egraph.enodes": sum(s.record.nodes for s in misses),
         "egraph.iterations": sum(s.record.iterations for s in misses),
@@ -312,7 +379,7 @@ def _run_service(args) -> dict:
         "service.warm_share": sum(
             s.record.warm_start.startswith("hit:") for s in misses
         ) / len(misses),
-        "host.calib_s": statistics.mean(calib),
+        "host.calib_s": speed.median_probe_s(),
         "host.cpu_share": (daemon_cpu + client_cpu) / wall,
     })
     return {

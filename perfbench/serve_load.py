@@ -21,8 +21,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import gen
+import outcheck
 from repro.pipeline import Job, RunRecord
 from repro.service import job_to_dict, request, wait_for_result
+from spans import STAGE_SPAN, stage_seconds
 
 #: Result fields a cache hit must replay exactly from the run it repeats.
 REPLAYED = (
@@ -30,21 +32,26 @@ REPLAYED = (
     "optimized_area", "dag_delay", "dag_area",
 )
 
-STAGE_SPAN = {
-    "ingest": "rtl.ingest",
-    "warm-start": "egraph.load",
-    "saturate": "egraph.saturate",
-    "save-egraph": "egraph.save",
-    "extract": "egraph.extract",
-}
-
 
 @dataclass
 class Sample:
     sub: gen.Submission
     job: Job
+    #: ``time.perf_counter`` at submission, and wall seconds from there
+    #: until the record was received.
+    start: float
     wall: float
+    #: The submit round trip (the daemon computes the cache key in it).
+    submit_s: float
     record: RunRecord
+
+    @property
+    def compute_s(self) -> float:
+        """Seconds the daemon computed for this submission: the submit
+        round trip and, on a miss, the job's run (a hit's record replays
+        the run it repeats).  The rest of the wall is waiting: the queue
+        and the client's result poll."""
+        return self.submit_s + (0.0 if self.record.cache_hit else self.record.runtime_s)
 
 
 def job_for(sub: gen.Submission) -> Job:
@@ -66,7 +73,7 @@ class Daemon:
         self.workdir = workdir
         # Relative to the working directory: AF_UNIX paths are length-capped.
         self.sock = os.path.relpath(workdir / "d.sock")
-        started = time.perf_counter()
+        self.started = started = time.perf_counter()
         self.proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve", self.sock,
@@ -82,8 +89,8 @@ class Daemon:
         except BaseException:
             self.kill()
             raise
-        #: Spawn to first answered ``ping``.
-        self.setup_s = time.perf_counter() - started
+        #: Spawn to first answered ``ping``: ``[started, ready]``.
+        self.ready = time.perf_counter()
 
     def _await_ping(self, deadline: float) -> None:
         while True:
@@ -132,7 +139,9 @@ def run_stream(daemon: Daemon, stream: list[gen.Submission], tracer=None) -> lis
         submitted = time.perf_counter()
         record = wait_for_result(daemon.sock, reply["ticket"], timeout=150.0)
         done = time.perf_counter()
-        samples.append(Sample(sub, job, done - started, record))
+        samples.append(
+            Sample(sub, job, started, done - started, submitted - started, record)
+        )
         if tracer is not None:
             _trace_sample(tracer, samples[-1], started, submitted, done)
     return samples
@@ -156,11 +165,7 @@ def layer_times(tracer, traced: list[Sample]) -> dict:
     """Per-submission seconds per layer from the traced stream."""
     total, n = tracer.totals(), len(traced)
     return {
-        "rtl.ingest_s": total.get("rtl.ingest", 0.0) / n,
-        "egraph.saturate_s": total.get("egraph.saturate", 0.0) / n,
-        "egraph.extract_s": total.get("egraph.extract", 0.0) / n,
-        "egraph.load_s": total.get("egraph.load", 0.0) / n,
-        "egraph.save_s": total.get("egraph.save", 0.0) / n,
+        **stage_seconds(tracer, n),
         "service.submit_s": total.get("service.submit", 0.0) / n,
         "service.queue_wait_s.p50": statistics.median(
             s.record.queue_wait_s for s in traced
@@ -176,13 +181,8 @@ def check(samples: list[Sample]) -> dict[int, list[str]]:
     by_index = {s.sub.index: s for s in samples}
     failures: dict[int, list[str]] = {}
     for s in samples:
-        record, problems = s.record, []
-        if record.status != "ok":
-            problems.append(f"status {record.status}: {record.error}")
-        if "time limit" in record.stop_reason:
-            problems.append("saturation stopped on its time limit")
-        if "deadline" in record.extract_status:
-            problems.append("extraction stopped on a deadline")
+        record = s.record
+        problems = outcheck.record_failures(record)
         if record.dag_delay <= 0 or record.dag_area <= 0:
             problems.append("record has no DAG cost")
         if s.sub.kind == "repeat":

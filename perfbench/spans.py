@@ -19,6 +19,17 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+#: Span name of each pipeline stage, by layer (module) name.  Both batch
+#: workloads and the service record stage spans under these names.
+STAGE_SPAN = {
+    "ingest": "rtl.ingest",
+    "warm-start": "egraph.load",
+    "saturate": "egraph.saturate",
+    "save-egraph": "egraph.save",
+    "extract": "egraph.extract",
+    "verify": "verify.verify",
+}
+
 
 @dataclass
 class Span:
@@ -102,3 +113,25 @@ class Tracer:
         payload = {"spans": [asdict(span) for span in self.spans]}
         payload.update(extra or {})
         path.write_text(json.dumps(payload, sort_keys=True))
+
+
+def stage_seconds(tracer: Tracer, jobs: int) -> dict[str, float]:
+    """Per-job seconds of every stage-level layer metric.
+
+    ``egraph.extract_s`` is the extract stage minus the ILP solver inside
+    it: the greedy fixpoint (the whole stage on a greedy-only run).
+    """
+    total = tracer.totals()
+
+    def per_job(name: str) -> float:
+        return total.get(name, 0.0) / jobs
+
+    return {
+        "rtl.ingest_s": per_job("rtl.ingest"),
+        "egraph.saturate_s": per_job("egraph.saturate"),
+        "egraph.extract_s": per_job("egraph.extract") - per_job("solve.ilp"),
+        "egraph.load_s": per_job("egraph.load"),
+        "egraph.save_s": per_job("egraph.save"),
+        "solve.ilp_s": per_job("solve.ilp"),
+        "verify.verify_s": per_job("verify.verify"),
+    }
