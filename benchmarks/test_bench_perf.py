@@ -1,10 +1,12 @@
 """Perf trajectory harness for the saturation hot path.
 
 Times the `fp_sub` optimize run (iter_limit=4, verification off) that the
-engine work is benchmarked against, and emits ``BENCH_perf.json`` at the
-repo root — wall time, nodes/sec and the per-phase split from
-:class:`~repro.egraph.runner.IterationStats` — so the perf trajectory is
-tracked across PRs.  ``BENCH_perf.json`` carries interleaved series,
+engine work is benchmarked against, and appends to the perf trajectory —
+wall time, nodes/sec and the per-phase split from
+:class:`~repro.egraph.runner.IterationStats`.  The committed
+``BENCH_perf.json`` at the repo root is only read: each run appends to
+``.bench_build/BENCH_perf.json`` (gitignored), which starts as a copy of
+the committed history, so running the tests never rewrites a tracked file.  ``BENCH_perf.json`` carries interleaved series,
 distinguished by the record's ``job`` field: ``perf:fp_sub`` (the single-
 output hot path), ``perf:stress_wide`` (the 8-output monolithic governed
 run the flat core unlocked), ``perf:fp_sub_warm`` (cold-vs-warm on an
@@ -45,24 +47,31 @@ ITER_LIMIT = 4
 #: Records kept in the ``BENCH_perf.json`` trajectory (oldest dropped).
 RECORD_HISTORY_CAP = 50
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_perf.json"
+ROOT = Path(__file__).resolve().parents[1]
+#: The committed trajectory: read, never written by the tests.
+TRACKED_PATH = ROOT / "BENCH_perf.json"
+#: Where runs append (gitignored); seeded from :data:`TRACKED_PATH`.
+BENCH_PATH = ROOT / ".bench_build" / "BENCH_perf.json"
 
 
 def _load_trajectory() -> tuple[dict, list]:
-    """The current ``BENCH_perf.json`` payload and its record history."""
-    if BENCH_PATH.exists():
-        try:
-            payload = json.load(BENCH_PATH.open())
-            return payload, payload.get("records", [])
-        except (json.JSONDecodeError, AttributeError):
-            pass
+    """The trajectory payload and its record history: this checkout's
+    appended copy once a run has written one, else the committed file."""
+    for path in (BENCH_PATH, TRACKED_PATH):
+        if path.exists():
+            try:
+                payload = json.load(path.open())
+                return payload, payload.get("records", [])
+            except (json.JSONDecodeError, AttributeError):
+                pass
     return {}, []
 
 
 def _append_entry(payload: dict, history: list, entry: dict) -> list:
-    """Append one record to the capped trajectory and rewrite the file."""
+    """Append one record to the capped trajectory and write the copy."""
     history = (history + [entry])[-RECORD_HISTORY_CAP:]
     payload["records"] = history
+    BENCH_PATH.parent.mkdir(exist_ok=True)
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     return history
 

@@ -24,6 +24,14 @@ Formulation (per output cone):
   own-delay path from any root through the selection and ``area`` is the
   sum of the *needed* selected nodes' own areas, counted once each.
 
+Before any search, **dominance pruning** shrinks the program as it is
+built: a candidate is dropped when another candidate of its class is no
+worse on delay, area and child set (of exact ties the first stays).  Any
+selection using the dropped one turns into one at most as costly by
+switching, so the optimum survives; classes only dropped candidates reached
+leave the cone.  This replaces exact-signature dedup, which only merged
+identical candidates.
+
 The solver is a pure-python branch-and-bound (stdlib only, like the rest of
 the repo).  Bounding is LP-style relaxation in spirit: the delay bound is
 the per-class min-delay fixpoint (the value an LP relaxation of the delay
@@ -33,7 +41,11 @@ pruning is sound.  The search is **anytime**: it starts from a feasible
 incumbent (normally the greedy extractor's selection), every improvement
 replaces it, and a deadline or step-quota expiry returns the best incumbent
 with ``status="incumbent"`` instead of raising; a drained search tree
-returns ``status="optimal"``.
+returns ``status="optimal"``.  ``steps`` counts bound evaluations and never
+exceeds the quota.  On the registry designs at ``iter_limit=4`` the search
+drains for float_to_unorm, unorm_to_float and stress_wide; fp_sub and
+interpolation still end on the stage's 50,000-step quota (``incumbent``),
+because the area bound is too weak to close their trees.
 
 ``ASSUME`` nodes cost as wires over their guarded child (the paper treats
 them as assignment statements); constraint children never contribute
@@ -46,7 +58,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.ir import ops
@@ -57,6 +69,8 @@ __all__ = [
     "ExtractionProblem",
     "SolveResult",
     "extraction_problem",
+    "dominance_filter",
+    "prune_dominated",
     "evaluate_selection",
     "feasible_selection",
     "solve_extraction",
@@ -91,6 +105,9 @@ class ExtractionProblem:
     #: (delay, area) -> totally ordered comparison key; must be monotone in
     #: both arguments (all of :mod:`repro.synth.cost`'s keys are).
     key: Callable[[float, float], tuple] = default_key
+    #: class id -> {payload of a dropped dominated candidate: index of the
+    #: kept candidate standing in for it} (see :func:`dominance_filter`).
+    dominators: dict[int, dict[Any, int]] = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -137,19 +154,13 @@ def extraction_problem(
     enode)`` and a monotone ``key(delay, area)``.  Returns ``None`` when the
     reachable cone exceeds ``max_classes`` — the caller's quota-blow-up
     signal, which degrades to greedy instead of building a hopeless model.
+    Dominated e-nodes are dropped as each class is read (see
+    :func:`dominance_filter`), so classes only they reach stay out.
     """
     find = egraph.find
-    roots = tuple(dict.fromkeys(find(r) for r in root_ids))
-    candidates: dict[int, tuple[Candidate, ...]] = {}
-    stack = list(roots)
-    while stack:
-        cid = stack.pop()
-        if cid in candidates:
-            continue
-        if max_classes is not None and len(candidates) >= max_classes:
-            return None
-        members: list[Candidate] = []
-        seen: set[tuple] = set()
+
+    def members(cid: int) -> list[Candidate]:
+        out = []
         for enode in egraph[cid].nodes:
             if enode.op is ops.ASSUME:
                 children = (find(enode.children[0]),)
@@ -157,21 +168,97 @@ def extraction_problem(
             else:
                 children = tuple(find(c) for c in enode.children)
                 own_delay, own_area = cost_fn.own_cost(egraph, cid, enode)
-            if cid in children:
-                # A self-loop can never appear in an acyclic selection.
-                continue
-            signature = (children, own_delay, own_area)
-            if signature in seen:
-                continue  # interchangeable for the objective; keep one
-            seen.add(signature)
-            members.append(
-                Candidate(children, own_delay, own_area, payload=enode)
-            )
-            stack.extend(c for c in children if c not in candidates)
-        candidates[cid] = tuple(members)
-    return ExtractionProblem(
-        roots=roots, candidates=candidates, key=cost_fn.key
+            out.append(Candidate(children, own_delay, own_area, payload=enode))
+        return out
+
+    return _pruned_cone(
+        tuple(dict.fromkeys(find(r) for r in root_ids)),
+        members,
+        cost_fn.key,
+        max_classes,
     )
+
+
+def prune_dominated(problem: ExtractionProblem) -> ExtractionProblem:
+    """``problem`` with every dominated candidate dropped, and the classes
+    only those candidates reached — the same filter
+    :func:`extraction_problem` applies while it builds."""
+    return _pruned_cone(
+        problem.roots, problem.candidates.__getitem__, problem.key
+    )
+
+
+def _pruned_cone(
+    roots: tuple[int, ...],
+    members_of: Callable[[int], Iterable[Candidate]],
+    key: Callable[[float, float], tuple],
+    max_classes: int | None = None,
+) -> ExtractionProblem | None:
+    """Walk the classes reachable from ``roots`` through kept candidates."""
+    candidates: dict[int, tuple[Candidate, ...]] = {}
+    dominators: dict[int, dict[Any, int]] = {}
+    stack = list(roots)
+    while stack:
+        cid = stack.pop()
+        if cid in candidates:
+            continue
+        if max_classes is not None and len(candidates) >= max_classes:
+            return None
+        # A self-loop can never appear in an acyclic selection.
+        kept, stand_in = dominance_filter(
+            [m for m in members_of(cid) if cid not in m.children]
+        )
+        candidates[cid] = kept
+        if stand_in:
+            dominators[cid] = stand_in
+        for member in kept:
+            stack.extend(c for c in member.children if c not in candidates)
+    return ExtractionProblem(
+        roots=roots, candidates=candidates, key=key, dominators=dominators
+    )
+
+
+def dominance_filter(
+    members: list[Candidate],
+) -> tuple[tuple[Candidate, ...], dict[Any, int]]:
+    """Drop every candidate some other candidate of the class dominates.
+
+    ``A`` dominates ``B`` when ``A.delay <= B.delay``, ``A.area <= B.area``
+    and ``set(A.children) <= set(B.children)``; of exact ties the first
+    stays.  Switching any selection from ``B`` to ``A`` only removes edges
+    and needed classes, so it stays acyclic and — for any key monotone in
+    delay and area — never gets worse: the optimum survives the filter.
+
+    Returns the kept candidates in their original order, and for each
+    dropped one its payload -> the index of the first kept candidate that
+    dominates it (what a warm start preferring the dropped one takes).
+    """
+    child_sets = [frozenset(m.children) for m in members]
+
+    def dominates(a: int, b: int) -> bool:
+        return (
+            members[a].delay <= members[b].delay
+            and members[a].area <= members[b].area
+            and child_sets[a] <= child_sets[b]
+        )
+
+    count = len(members)
+    kept = [
+        b
+        for b in range(count)
+        if not any(
+            a != b and dominates(a, b) and (a < b or not dominates(b, a))
+            for a in range(count)
+        )
+    ]
+    dropped = sorted(set(range(count)).difference(kept))
+    stand_in = {
+        members[b].payload: next(
+            slot for slot, a in enumerate(kept) if dominates(a, b)
+        )
+        for b in dropped
+    }
+    return tuple(members[i] for i in kept), stand_in
 
 
 # ---------------------------------------------------------------- evaluation
@@ -222,8 +309,9 @@ def feasible_selection(
     """A feasible (acyclic) selection covering every class that supports one.
 
     ``prefer`` maps class id -> candidate payload (e.g. the greedy
-    extractor's best e-node per class); the preferred candidate is tried
-    first, falling back down a cheap-first ranking when it would close a
+    extractor's best e-node per class); the preferred candidate — or, when
+    the dominance filter dropped it, the candidate that dominates it — is
+    tried first, falling back down a cheap-first ranking when it would close a
     cycle — the same path-guard discipline as
     :meth:`repro.egraph.extract.Extractor.expr_of`, so a greedy warm start
     with zero-progress wire cycles still lands on a sound incumbent.
@@ -232,16 +320,16 @@ def feasible_selection(
     candidates = problem.candidates
     ranked: dict[int, list[int]] = {}
     for cid, members in candidates.items():
-        order = sorted(
-            range(len(members)),
-            key=lambda i, members=members: (members[i].delay, members[i].area, i),
-        )
+        order = _cheap_first(members)
         liked = prefer.get(cid)
         if liked is not None:
-            for position, index in enumerate(order):
-                if members[index].payload == liked:
-                    order.insert(0, order.pop(position))
-                    break
+            index = next(
+                (i for i, m in enumerate(members) if m.payload == liked),
+                problem.dominators.get(cid, {}).get(liked),
+            )
+            if index is not None:
+                order.remove(index)
+                order.insert(0, index)
         ranked[cid] = order
     chosen: dict[int, int] = {}
 
@@ -270,6 +358,14 @@ def feasible_selection(
     for cid in candidates:
         build(cid, frozenset())
     return chosen
+
+
+def _cheap_first(members: tuple[Candidate, ...]) -> list[int]:
+    """Candidate indices by delay, then area, then position."""
+    return sorted(
+        range(len(members)),
+        key=lambda i: (members[i].delay, members[i].area, i),
+    )
 
 
 # -------------------------------------------------------------------- bounds
@@ -322,60 +418,66 @@ def _min_area(problem: ExtractionProblem) -> dict[int, float]:
 def _partial_bound(
     problem: ExtractionProblem,
     selection: Mapping[int, int],
-    decided: set[int],
     lb_delay: Mapping[int, float],
     lb_area: Mapping[int, float],
-) -> tuple[tuple, list[int]] | None:
+    reversed_children: Mapping[int, tuple[tuple[int, ...], ...]],
+) -> tuple[tuple, int | None] | None:
     """Lower bound of any completion of a partial selection.
 
     Walks the definitely-needed region: classes reachable from the roots
-    through *decided* candidates' children.  Decided classes contribute
-    their chosen candidate's own cost; undecided reached classes are
-    boundary leaves contributing their class-level lower bounds (every
+    through *decided* (selected) candidates' children.  Decided classes
+    contribute their chosen candidate's own cost; undecided reached classes
+    are boundary leaves contributing their class-level lower bounds (every
     completion must realize them — ``y[c] = 1`` is already implied).
-    Returns ``(bound_key, undecided_frontier)`` — the frontier in
-    deterministic discovery order, which is also the branch order — or
-    ``None`` when the decided region itself closes a cycle (the subtree is
-    infeasible and the caller prunes it).
+    Returns ``(bound_key, branch)`` — ``branch`` is the first undecided
+    class in discovery order, or ``None`` when the needed region is fully
+    decided — or ``None`` when the decided region itself closes a cycle
+    (the subtree is infeasible and the caller prunes it).
+
+    ``reversed_children[cid][index]`` is candidate ``index``'s children in
+    reverse, so the stack pops them in order.  The stack holds bare class
+    ids with ``~cid`` (always negative) as the post-order marker.  Own
+    delays are non-negative, so a child-free candidate arrives at its own
+    delay, as with ``max(..., default=0.0)``.
     """
     candidates = problem.candidates
-    GRAY, BLACK = 1, 2
-    color: dict[int, int] = {}
-    arrival: dict[int, float] = {}
+    arrival: dict[int, float] = {}  # finished ("black") classes
+    open_: set[int] = set()  # on the current DFS path ("gray")
     area = 0.0
-    frontier: list[int] = []
-    stack: list[tuple[int, bool]] = [
-        (c, False) for c in reversed(problem.roots)
-    ]
+    branch = None
+    stack = list(reversed(problem.roots))
     while stack:
-        cid, ready = stack.pop()
-        if ready:
+        cid = stack.pop()
+        if cid < 0:
+            cid = ~cid
             chosen = candidates[cid][selection[cid]]
-            arrival[cid] = chosen.delay + max(
-                (arrival[k] for k in chosen.children), default=0.0
-            )
-            color[cid] = BLACK
+            worst = 0.0
+            for k in chosen.children:
+                if arrival[k] > worst:
+                    worst = arrival[k]
+            arrival[cid] = chosen.delay + worst
+            open_.discard(cid)
             continue
-        state = color.get(cid)
-        if state == BLACK:
+        if cid in arrival:
             continue
-        if state == GRAY:
+        if cid in open_:
             return None  # the decided region is already cyclic
-        if cid not in decided:
-            color[cid] = BLACK
+        index = selection.get(cid)
+        if index is None:
             arrival[cid] = lb_delay[cid]
             area += lb_area[cid]
-            frontier.append(cid)
+            if branch is None:
+                branch = cid
             continue
-        color[cid] = GRAY
-        area += candidates[cid][selection[cid]].area
-        stack.append((cid, True))
-        stack.extend(
-            (k, False)
-            for k in reversed(candidates[cid][selection[cid]].children)
-        )
-    delay = max((arrival[r] for r in problem.roots), default=0.0)
-    return problem.key(delay, area), frontier
+        open_.add(cid)
+        area += candidates[cid][index].area
+        stack.append(~cid)
+        stack.extend(reversed_children[cid][index])
+    delay = 0.0
+    for root in problem.roots:
+        if arrival[root] > delay:
+            delay = arrival[root]
+    return problem.key(delay, area), branch
 
 
 # -------------------------------------------------------------------- solver
@@ -456,38 +558,40 @@ def solve_extraction(
     # descent's one-swap neighbourhood cannot reach).
     lb_delay = _min_delay_fixpoint(problem)
     lb_area = _min_area(problem)
+    reversed_children = {
+        cid: tuple(m.children[::-1] for m in members)
+        for cid, members in problem.candidates.items()
+    }
+    branch_order = {
+        cid: _cheap_first(members) for cid, members in problem.candidates.items()
+    }
     complete = True
 
-    def search(selection: dict[int, int], decided: set[int]) -> bool:
+    def search(selection: dict[int, int]) -> bool:
         """Depth-first expansion; returns False when the budget expired."""
         nonlocal best_sel, best_eval, steps, complete
-        steps += 1
-        if steps > max_steps or clock() > limit:
+        if steps >= max_steps or clock() > limit:
             complete = False
             return False
-        bound = _partial_bound(problem, selection, decided, lb_delay, lb_area)
+        steps += 1
+        bound = _partial_bound(
+            problem, selection, lb_delay, lb_area, reversed_children
+        )
         if bound is None:
             return True  # cyclic decided region: prune, keep searching
-        bound_key, frontier = bound
+        bound_key, branch = bound
         if bound_key >= best_eval[0]:
             return True  # cannot beat the incumbent
-        if not frontier:
+        if branch is None:
             # Fully decided needed region — ``bound`` was exact.
             result = evaluate_selection(problem, selection)
             if result is not None and result[0] < best_eval[0]:
                 best_sel = dict(selection)
                 best_eval = result
             return True
-        branch = frontier[0]
-        members = problem.candidates[branch]
-        order = sorted(
-            range(len(members)), key=lambda i: (members[i].delay, members[i].area, i)
-        )
-        for index in order:
+        for index in branch_order[branch]:
             selection[branch] = index
-            decided.add(branch)
-            alive = search(selection, decided)
-            decided.discard(branch)
+            alive = search(selection)
             del selection[branch]
             if not alive:
                 return False
@@ -501,7 +605,7 @@ def solve_extraction(
         if old_limit < needed_limit:
             sys.setrecursionlimit(needed_limit)
         try:
-            search({}, set())
+            search({})
         finally:
             if old_limit < needed_limit:
                 sys.setrecursionlimit(old_limit)

@@ -11,9 +11,15 @@ Three guarantees, each pinned deterministically:
   greedy with ``"fallback:quota"`` provenance;
 * **record compatibility** — the new ``RunRecord`` fields round-trip JSON
   and legacy rows (pre-solver ``BENCH_perf.json`` entries) still load.
+
+A work-counter gate also pins the branch-and-bound's step counts on two
+registry designs: B&B steps are deterministic, so they can be bounded
+exactly where wall time could not.
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
@@ -24,9 +30,12 @@ from repro.pipeline import (
     Ingest,
     Job,
     Pipeline,
+    PipelineContext,
     RunRecord,
     Saturate,
     execute_job,
+    job_design,
+    job_stages,
 )
 from repro.solve.extract_opt import OptimalExtract
 from repro.synth.cost import default_key
@@ -164,6 +173,35 @@ class TestGovernedStage:
         assert ctx.governor is None
         assert output in ctx.extracted
         assert ctx.extract_reports[-1].status.startswith("ilp:")
+
+
+# ------------------------------------------------------- work-counter gate
+#: B&B steps allowed to prove the two designs below optimal.  Dominance
+#: pruning gets them there in 645 and 1,135 steps; without it they took
+#: 26,856 and 10,429.
+PROOF_STEP_GATE = 2_000
+
+
+@pytest.mark.parametrize("design", ["float_to_unorm", "unorm_to_float"])
+def test_ilp_proves_optimal_within_step_gate(design):
+    """At ``iter_limit=4`` the search drains (``ilp:optimal``) within
+    :data:`PROOF_STEP_GATE` steps.  The stage's wall window is lifted so
+    only the step count can decide the outcome."""
+    job = Job(name=design, design=design, iter_limit=4, extract_objective="ilp")
+    spec = job_design(job)
+    stages = [
+        OptimalExtract(time_limit=math.inf) if isinstance(s, OptimalExtract) else s
+        for s in job_stages(job, spec)
+    ]
+    ctx = PipelineContext()
+    ctx.input_ranges = dict(spec.input_ranges)
+    Pipeline(stages).run(ctx=ctx)
+    report = ctx.extract_reports[-1]
+    assert report.status == "ilp:optimal", report.roots
+    assert report.steps <= PROOF_STEP_GATE, (
+        f"{design}: {report.steps} B&B steps to prove optimality "
+        f"(gate {PROOF_STEP_GATE})"
+    )
 
 
 # ------------------------------------------------------ record compatibility

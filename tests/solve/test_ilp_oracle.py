@@ -8,6 +8,10 @@ deliberately include shared children (where tree-greedy and DAG-optimal
 diverge), extra candidates with arbitrary back edges (so the lazy cycle
 constraint is exercised), and pure cycle rings (no acyclic selection at
 all — both sides must say so).
+
+Dominance pruning is held to the same oracle: the brute force of the
+*unpruned* program and the solver on the *pruned* one must agree, so the
+filter provably never drops the optimum.
 """
 
 from __future__ import annotations
@@ -21,31 +25,41 @@ from repro.solve.ilp import (
     Candidate,
     ExtractionProblem,
     brute_force,
+    dominance_filter,
     evaluate_selection,
     feasible_selection,
+    prune_dominated,
     solve_extraction,
 )
 
 
-def random_problem(rng: random.Random, classes: int) -> ExtractionProblem:
-    """A small random program with a guaranteed acyclic skeleton.
+def random_problem(
+    rng: random.Random, classes: int, skeleton: bool = True
+) -> ExtractionProblem:
+    """A small random program, by default with a guaranteed acyclic skeleton.
 
     Class ``i``'s first candidate only points at higher-numbered classes,
     so a feasible selection always exists; every further candidate draws
     children from the *whole* id space, so cycles (including mutual ones)
-    appear and the lazy exclusion constraint does real work.
+    appear and the lazy exclusion constraint does real work.  With
+    ``skeleton=False`` the first candidates form one ring over all classes
+    instead, so only the extra candidates can break it — some programs
+    have no acyclic selection at all.
     """
     candidates: dict[int, tuple[Candidate, ...]] = {}
     for cid in range(classes):
         members = []
-        forward = tuple(
-            sorted(
-                rng.sample(
-                    range(cid + 1, classes),
-                    k=rng.randint(0, min(2, classes - cid - 1)),
+        if skeleton:
+            forward = tuple(
+                sorted(
+                    rng.sample(
+                        range(cid + 1, classes),
+                        k=rng.randint(0, min(2, classes - cid - 1)),
+                    )
                 )
             )
-        )
+        else:
+            forward = ((cid + 1) % classes,)
         members.append(
             Candidate(
                 forward,
@@ -193,5 +207,144 @@ class TestSharingObjective:
         result = solve_extraction(problem, max_steps=1)
         assert result is not None
         assert result.status == "incumbent"
+        assert result.steps <= 1  # bound evaluations, never past the quota
         full = solve_extraction(problem)
         assert full is not None and full.key <= result.key
+
+    def test_quota_ended_search_reports_exactly_max_steps(self):
+        rng = random.Random(0x51317)
+        for _ in range(50):
+            problem = random_problem(rng, classes=6)
+            full = solve_extraction(problem, descend=False)
+            assert full is not None
+            if full.steps < 3:
+                continue
+            cut = solve_extraction(problem, descend=False, max_steps=2)
+            assert cut is not None
+            assert (cut.status, cut.steps) == ("incumbent", 2)
+
+
+class TestDominancePruning:
+    def test_pruned_solver_matches_unpruned_brute_force(self):
+        """200 seeded programs — a quarter built on a pure ring, some with
+        no acyclic selection — solved pruned, enumerated unpruned."""
+        rng = random.Random(0x51317)
+        infeasible = 0
+        for trial in range(200):
+            problem = random_problem(
+                rng, classes=rng.randint(2, 6), skeleton=trial % 4 != 0
+            )
+            oracle = brute_force(problem)
+            pruned = prune_dominated(problem)
+            result = solve_extraction(pruned)
+            assert (oracle is None) == (result is None), f"trial {trial}"
+            assert (oracle is None) == (feasible_selection(pruned) is None)
+            if oracle is None:
+                infeasible += 1
+                continue
+            assert result.status == "optimal", f"trial {trial}"
+            assert result.key == oracle.key, (
+                f"trial {trial}: pruned {result.key} != oracle {oracle.key}"
+            )
+            check = evaluate_selection(pruned, result.selection)
+            assert check is not None and check[0] == result.key
+        assert infeasible  # the rings really exercise the infeasible side
+
+    def test_child_subset_dominance(self):
+        """Fewer children at no higher cost wins; a class only the dropped
+        candidate reached leaves the program.  A cheaper candidate with
+        more children is not dominated."""
+        problem = ExtractionProblem(
+            roots=(0,),
+            candidates={
+                0: (
+                    Candidate((1, 2), 3.0, 3.0, payload="wide"),
+                    Candidate((1,), 3.0, 2.0, payload="narrow"),
+                    Candidate((), 9.0, 9.0, payload="leaf"),
+                ),
+                1: (Candidate((), 1.0, 1.0),),
+                2: (Candidate((), 1.0, 1.0),),
+            },
+        )
+        pruned = prune_dominated(problem)
+        assert [m.payload for m in pruned.candidates[0]] == ["narrow", "leaf"]
+        assert 2 not in pruned.candidates
+        assert pruned.dominators == {0: {"wide": 0}}
+
+    def test_exact_tie_keeps_the_first(self):
+        """Equal costs and equal child *sets* (repeats and order do not
+        matter to the objective) — the first candidate stays."""
+        members = [
+            Candidate((1, 2), 2.0, 2.0, payload="first"),
+            Candidate((2, 1, 1), 2.0, 2.0, payload="second"),
+        ]
+        kept, stand_in = dominance_filter(members)
+        assert [m.payload for m in kept] == ["first"]
+        assert stand_in == {"second": 0}
+
+    def test_assume_wire_is_never_dropped_for_a_costlier_candidate(self):
+        """An ``ASSUME`` costs as a wire over its guarded child: a leaf with
+        fewer children but any cost cannot dominate it, while a costlier
+        node over the same child is dropped in its favour."""
+        wire = Candidate((1,), 0.0, 0.0, payload="assume")
+        members = [
+            Candidate((), 0.5, 1.0, payload="leaf"),
+            Candidate((1,), 0.5, 0.0, payload="buffer"),
+            wire,
+        ]
+        kept, stand_in = dominance_filter(members)
+        assert [m.payload for m in kept] == ["leaf", "assume"]
+        assert stand_in == {"buffer": 1}
+
+    def test_assume_survives_pruning_on_a_saturated_egraph(self):
+        from repro.designs.registry import get_design
+        from repro.ir import ops
+        from repro.pipeline import Ingest, Pipeline, Saturate
+        from repro.solve.ilp import extraction_problem
+        from repro.synth.cost import DelayAreaCost
+
+        design = get_design("unorm_to_float")
+        ctx = Pipeline(
+            [
+                Ingest(source=design.verilog),
+                Saturate(iter_limit=2, node_limit=8_000, time_limit=10**6),
+            ]
+        ).run(input_ranges=design.input_ranges)
+        egraph = ctx.require_egraph()
+        problem = extraction_problem(
+            egraph, list(ctx.root_ids.values()), DelayAreaCost()
+        )
+        assert problem is not None
+        assumes = 0
+        for cid, members in problem.candidates.items():
+            kept = {m.payload for m in members}
+            for enode in egraph[cid].nodes:
+                if enode.op is not ops.ASSUME or enode in kept:
+                    assumes += enode.op is ops.ASSUME
+                    continue
+                stand_in = members[problem.dominators[cid][enode]]
+                assert (stand_in.delay, stand_in.area) == (0.0, 0.0)
+        assert assumes  # the design really offers ASSUME wires
+
+    def test_preferred_dropped_node_maps_to_its_dominator(self):
+        """A greedy warm start naming a dropped node takes the node that
+        dominates it, not the head of the cheapest-delay-first ranking."""
+        problem = ExtractionProblem(
+            roots=(0,),
+            candidates={
+                0: (
+                    Candidate((), 0.5, 9.0, payload="fast"),
+                    Candidate((1,), 1.0, 1.0, payload="lean"),
+                    Candidate((1, 2), 2.0, 2.0, payload="greedy"),
+                ),
+                1: (Candidate((), 1.0, 1.0),),
+                2: (Candidate((), 1.0, 1.0),),
+            },
+        )
+        pruned = prune_dominated(problem)
+        names = [m.payload for m in pruned.candidates[0]]
+        assert names == ["fast", "lean"]
+        warm = feasible_selection(pruned, prefer={0: "greedy"})
+        assert warm is not None
+        assert names[warm[0]] == "lean"
+        assert names[feasible_selection(pruned)[0]] == "fast"
