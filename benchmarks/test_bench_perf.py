@@ -6,8 +6,9 @@ wall time, nodes/sec and the per-phase split from
 :class:`~repro.egraph.runner.IterationStats`.  The committed
 ``BENCH_perf.json`` at the repo root is only read: each run appends to
 ``.bench_build/BENCH_perf.json`` (gitignored), which starts as a copy of
-the committed history, so running the tests never rewrites a tracked file.  ``BENCH_perf.json`` carries interleaved series,
-distinguished by the record's ``job`` field: ``perf:fp_sub`` (the single-
+the committed history, so running the tests never rewrites a tracked
+file.  The trajectory carries interleaved series, distinguished by the
+record's ``job`` field: ``perf:fp_sub`` (the single-
 output hot path), ``perf:stress_wide`` (the 8-output monolithic governed
 run the flat core unlocked), ``perf:fp_sub_warm`` (cold-vs-warm on an
 edited design, pinning the warm-start speedup), ``perf:stress_wide_stitch``

@@ -226,8 +226,9 @@ def dominance_filter(
     ``A`` dominates ``B`` when ``A.delay <= B.delay``, ``A.area <= B.area``
     and ``set(A.children) <= set(B.children)``; of exact ties the first
     stays.  Switching any selection from ``B`` to ``A`` only removes edges
-    and needed classes, so it stays acyclic and — for any key monotone in
-    delay and area — never gets worse: the optimum survives the filter.
+    and needed classes (own areas are non-negative), so it stays acyclic
+    and — for any key monotone in delay and area — never gets worse: the
+    optimum survives the filter.
 
     Returns the kept candidates in their original order, and for each
     dropped one its payload -> the index of the first kept candidate that
